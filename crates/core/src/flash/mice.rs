@@ -6,11 +6,16 @@
 //! top-m shortest paths (i.e. using Yen's algorithm) on the local
 //! topology G, and adds them to the routing table."
 //!
+//! Flash then swaps a dead path for "the next top shortest path". Each
+//! entry therefore keeps its own resumable Yen iterator
+//! ([`KShortestHops`]): the initial paths are its first m ranks, and
+//! each replacement is one more Yen step.
+//!
 //! This implementation keys entries by `(sender, receiver)` because one
 //! `FlashRouter` instance simulates every node's local state at once;
 //! the per-sender view is identical to per-node tables.
 
-use pcn_graph::{yen, DiGraph, Path};
+use pcn_graph::{yen::KShortestHops, DiGraph, Path};
 use pcn_types::NodeId;
 use std::collections::HashMap;
 
@@ -20,22 +25,13 @@ struct TableEntry {
     /// The live path set: the top-m shortest paths, with dead paths
     /// swapped for later Yen ranks by [`RoutingTable::replace_path`].
     paths: Vec<Path>,
-    /// Every Yen rank computed so far, in rank order — the cached prefix
-    /// that replacements consume before recomputing anything.
-    yen_all: Vec<Path>,
-    /// How many Yen ranks have been handed out (initial paths +
-    /// replacements); the next replacement takes `yen_all[yen_cursor]`.
-    /// Always ≤ the number of ranks that actually exist: initialized to
-    /// `paths.len()`, not `m`, because Yen may return fewer than `m`.
-    yen_cursor: usize,
-    /// `Some(edge_count)` of the topology on which Yen last proved
-    /// `yen_all` is *every* simple path there is. While the fingerprint
-    /// matches, replacements skip the refetch entirely instead of
-    /// re-proving exhaustion with a full Yen run per dead path.
-    /// ([`RoutingTable::refresh`] is the real answer to topology change;
-    /// the fingerprint just keeps an un-refreshed grown graph from being
-    /// treated as still exhausted.)
-    exhausted_at_edges: Option<usize>,
+    /// The Yen enumeration behind `paths`; it has returned exactly the
+    /// ranks handed out so far (initial paths + replacements).
+    ranks: KShortestHops,
+    /// Edge count of the graph `ranks` runs on. A replacement against a
+    /// graph with another edge count rebuilds the iterator there.
+    /// ([`RoutingTable::refresh`] is the real answer to topology change.)
+    edges: usize,
     /// Logical timestamp of the last lookup (for TTL eviction).
     last_used: u64,
 }
@@ -75,12 +71,12 @@ impl RoutingTable {
     pub fn lookup_or_compute(&mut self, g: &DiGraph, s: NodeId, t: NodeId, now: u64) -> Vec<Path> {
         let m = self.m;
         let entry = self.entries.entry((s, t)).or_insert_with(|| {
-            let paths = yen::k_shortest_paths_hops(g, s, t, m);
+            let mut ranks = KShortestHops::new(s, t);
+            let paths = std::iter::from_fn(|| ranks.next_path(g)).take(m).collect();
             TableEntry {
-                yen_all: paths.clone(),
-                yen_cursor: paths.len(),
-                exhausted_at_edges: (paths.len() < m).then(|| g.edge_count()),
                 paths,
+                ranks,
+                edges: g.edge_count(),
                 last_used: now,
             }
         });
@@ -100,29 +96,23 @@ impl RoutingTable {
         if idx >= entry.paths.len() {
             return;
         }
-        // Serve from the cached Yen prefix when possible; only when it is
-        // spent recompute — and then fetch a batch of `m` extra ranks so
-        // the next m replacements are cache hits instead of full Yen runs
-        // (the recompute returns all earlier ranks anyway, so the batch
-        // costs little beyond what a single-rank fetch would). When Yen
-        // has already proven there is no further simple path on this
-        // topology, don't re-prove it on every dead path.
-        if entry.yen_cursor >= entry.yen_all.len()
-            && entry.exhausted_at_edges != Some(g.edge_count())
-        {
-            let fetch = entry.yen_cursor + self.m.max(1);
-            entry.yen_all = yen::k_shortest_paths_hops(g, s, t, fetch);
-            entry.exhausted_at_edges = (entry.yen_all.len() < fetch).then(|| g.edge_count());
+        if entry.edges != g.edge_count() {
+            // Resume on the new graph after the ranks already handed out.
+            let handed_out = entry.ranks.returned();
+            entry.ranks = KShortestHops::new(s, t);
+            entry.edges = g.edge_count();
+            for _ in 0..handed_out {
+                if entry.ranks.next_path(g).is_none() {
+                    break;
+                }
+            }
         }
-        if let Some(next) = entry.yen_all.get(entry.yen_cursor) {
-            entry.paths[idx] = next.clone();
-            entry.yen_cursor += 1;
-        } else {
+        match entry.ranks.next_path(g) {
+            Some(next) => entry.paths[idx] = next,
             // The graph has no further simple path: drop the dead one.
-            // The cursor stays put — it counts ranks actually handed
-            // out, so a later replacement against a grown topology
-            // resumes from the right rank instead of skipping paths.
-            entry.paths.remove(idx);
+            None => {
+                entry.paths.remove(idx);
+            }
         }
     }
 
@@ -206,11 +196,11 @@ mod tests {
         assert!(paths.is_empty());
     }
 
-    /// Regression: `yen_cursor` must count paths actually returned, not
-    /// `m`. With the old `yen_cursor: m` initialization, an entry that
-    /// cached fewer than `m` paths over-counted its consumed ranks, so
-    /// the first replacement against a richer topology skipped the true
-    /// next-best path and served a later rank.
+    /// Regression: the handed-out rank count must count paths actually
+    /// returned, not `m`. An entry that cached fewer than `m` paths and
+    /// counted `m` consumed ranks would, on the first replacement against
+    /// a richer topology, skip the true next-best path and serve a later
+    /// rank.
     #[test]
     fn cursor_tracks_returned_paths_not_m() {
         // g1 has a single simple path 0 → 3, so m = 2 caches just one.
@@ -236,8 +226,7 @@ mod tests {
     }
 
     /// Successive replacements hand out strictly increasing Yen ranks,
-    /// served from the cached prefix (the batch refetch makes later
-    /// replacements cache hits rather than fresh Yen runs).
+    /// each one a single step of the entry's iterator.
     #[test]
     fn successive_replacements_advance_through_ranks() {
         // Four simple paths 0 → 3, all distinct.
@@ -270,6 +259,24 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), len_before, "a Yen rank was handed out twice");
+    }
+
+    /// After r replacements of slot 0, the slot holds the last rank of
+    /// `k_shortest_paths_hops(g, s, t, m + r)`: resuming the entry's
+    /// iterator hands out exactly the ranks a fresh Yen run would.
+    #[test]
+    fn replacements_follow_the_yen_rank_sequence() {
+        let g = pcn_graph::generators::watts_strogatz(20, 4, 0.3, 1);
+        let (s, d, m) = (n(0), n(10), 3);
+        let mut t = RoutingTable::new(m, 100);
+        t.lookup_or_compute(&g, s, d, 1);
+        for r in 1..=12 {
+            t.replace_path(&g, s, d, 0);
+            let ranks = pcn_graph::yen::k_shortest_paths_hops(&g, s, d, m + r);
+            assert_eq!(ranks.len(), m + r, "graph has too few paths for r = {r}");
+            let slot = &t.lookup_or_compute(&g, s, d, 2)[0];
+            assert_eq!(slot.nodes(), ranks[m + r - 1].nodes(), "r = {r}");
+        }
     }
 
     /// The caller's contract when several paths die in one payment:

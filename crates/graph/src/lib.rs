@@ -10,13 +10,12 @@
 //! * [`Path`] — a validated simple path with hop/edge iteration.
 //! * [`bfs`] — breadth-first shortest paths with edge filters (the
 //!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1).
-//! * [`dijkstra`] — weighted shortest paths.
-//! * [`yen`] — Yen's k-shortest loopless paths (§3.3 mice routing tables).
+//! * [`yen`] — resumable fewest-hops Yen k-shortest loopless paths (§3.3
+//!   mice routing tables).
 //! * [`maxflow`] — the max-flow subsystem behind the
 //!   [`maxflow::MaxFlowSolver`] trait, every kernel on one flat CSR
-//!   residual graph: highest-label push-relabel (the hot path), Dinic
-//!   (optional capacity scaling), warm-start
-//!   [`maxflow::IncrementalMaxFlow`] for repeated queries under
+//!   residual graph: highest-label push-relabel (the hot path), Dinic,
+//!   warm-start [`maxflow::IncrementalMaxFlow`] for repeated queries under
 //!   capacity deltas, and classic Edmonds–Karp (the
 //!   differential-testing oracle Flash's k-bounded variant is validated
 //!   against), plus min-cut extraction and path decomposition.
@@ -36,7 +35,6 @@
 
 pub mod bfs;
 pub mod digraph;
-pub mod dijkstra;
 pub mod disjoint;
 pub mod generators;
 pub mod io;

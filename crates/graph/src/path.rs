@@ -45,7 +45,7 @@ impl Path {
     /// Wraps a node sequence without validation.
     ///
     /// For use by algorithms whose construction already guarantees
-    /// simplicity (BFS/Dijkstra parent chains).
+    /// simplicity (BFS parent chains, Yen stitching).
     pub(crate) fn from_vec_unchecked(nodes: Vec<NodeId>) -> Self {
         debug_assert!(nodes.len() >= 2);
         Path(nodes)

@@ -1,169 +1,67 @@
-//! Yen's algorithm for k shortest loopless paths.
+//! Yen's algorithm for k shortest loopless paths, fewest hops first.
 //!
 //! Flash's mice routing computes "top-m shortest paths (i.e. using Yen's
-//! algorithm) on the local topology G" (§3.3). This implementation follows
-//! Yen (1971) over the Dijkstra primitive, with deterministic tie-breaking
-//! so routing tables are reproducible across runs.
+//! algorithm) on the local topology G" (§3.3), and when a cached path
+//! dies it swaps in "the next top shortest path". [`KShortestHops`] is
+//! Yen (1971) as a resumable iterator: the paths found so far and the
+//! candidate pool live between calls, so rank m + r costs one Yen step
+//! instead of a rerun from rank 1. Spur searches are BFS, and candidates
+//! are ranked by `(hops, nodes)`, so the rank sequence is deterministic.
 
-use crate::dijkstra::{shortest_path_weighted, WeightedPath};
-use crate::{path::Path, DiGraph, EdgeId};
+use crate::{bfs, path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
-use std::collections::HashSet;
 
-/// Returns up to `k` loopless paths `s → t` in non-decreasing weight
-/// order (hop count when `weight` is unit). Fewer paths are returned when
-/// the graph does not contain `k` distinct simple paths.
-pub fn k_shortest_paths(
-    g: &DiGraph,
+/// Resumable fewest-hops Yen enumeration of the simple paths `s → t`.
+///
+/// Each [`next_path`](Self::next_path) call runs exactly one Yen step
+/// and returns the next rank, in non-decreasing hop order with ties
+/// broken by the lexicographic node sequence. Every call must pass the
+/// same graph; a caller whose topology changes starts a new iterator.
+#[derive(Clone, Debug)]
+pub struct KShortestHops {
     s: NodeId,
     t: NodeId,
-    k: usize,
-    mut weight: impl FnMut(EdgeId) -> Option<u64>,
-) -> Vec<WeightedPath> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let Some(first) = shortest_path_weighted(g, s, t, &mut weight) else {
-        return Vec::new();
-    };
-    let mut found: Vec<WeightedPath> = vec![first];
-    // Candidate pool; keep sorted ascending by (weight, nodes) and pop
-    // the best. A Vec with linear extraction is fine at the k ≤ 30 scale
-    // Flash uses.
-    let mut candidates: Vec<WeightedPath> = Vec::new();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    seen.insert(found[0].path.nodes().to_vec());
-
-    while found.len() < k {
-        let prev = &found[found.len() - 1].path;
-        let prev_nodes = prev.nodes().to_vec();
-        // Each node of the previous path except the last is a spur node.
-        for i in 0..prev_nodes.len() - 1 {
-            let spur = prev_nodes[i];
-            let root: &[NodeId] = &prev_nodes[..=i];
-
-            // Edges leaving the spur node along any already-found path
-            // sharing this root are banned.
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-            for wp in &found {
-                let nodes = wp.path.nodes();
-                if nodes.len() > i + 1 && nodes[..=i] == *root {
-                    if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
-                        banned_edges.insert(e);
-                    }
-                }
-            }
-            // Nodes on the root (except the spur itself) are banned to
-            // keep paths loopless.
-            let banned_nodes: HashSet<NodeId> = root[..root.len() - 1].iter().copied().collect();
-
-            let spur_path = shortest_path_weighted(g, spur, t, |e| {
-                if banned_edges.contains(&e) {
-                    return None;
-                }
-                let (u, v) = g.endpoints(e);
-                if banned_nodes.contains(&u) || banned_nodes.contains(&v) {
-                    return None;
-                }
-                weight(e)
-            });
-            let Some(spur_wp) = spur_path else { continue };
-
-            // Stitch root + spur path.
-            let mut nodes = root[..root.len() - 1].to_vec();
-            nodes.extend_from_slice(spur_wp.path.nodes());
-            if seen.contains(&nodes) {
-                continue;
-            }
-            // Weight of root + spur. A `weight` closure may be stateful
-            // (capacity- or congestion-dependent filters), so a root edge
-            // that was traversable when its path was found can be
-            // filtered out *now* — such a candidate is unusable and must
-            // be discarded entirely, not kept with an understated weight.
-            let root_weight = root.windows(2).try_fold(0u64, |acc, win| {
-                // pcn-lint: allow(panic) — the root prefix came from a previously found path
-                let e = g.edge(win[0], win[1]).expect("root edge must exist");
-                weight(e).map(|ew| acc.saturating_add(ew))
-            });
-            let Some(root_weight) = root_weight else {
-                continue;
-            };
-            seen.insert(nodes.clone());
-            candidates.push(WeightedPath {
-                path: Path::from_vec_unchecked(nodes),
-                weight: spur_wp.weight.saturating_add(root_weight),
-            });
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the best candidate (weight, then lexicographic nodes
-        // for determinism).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.weight
-                    .cmp(&b.weight)
-                    .then_with(|| a.path.nodes().cmp(b.path.nodes()))
-            })
-            .map(|(i, _)| i)
-            .unwrap(); // pcn-lint: allow(panic) — the loop guard ensures candidates is non-empty
-        found.push(candidates.swap_remove(best));
-    }
-    found
+    /// Every rank returned so far, in rank order.
+    found: Vec<Path>,
+    /// Spur paths not yet returned, unordered and pairwise distinct. A
+    /// found path never re-enters the pool: Yen bans its edge at every
+    /// spur index where it shares the root.
+    candidates: Vec<Path>,
+    /// Set once a step finds no candidate; no later step can find one.
+    exhausted: bool,
 }
 
-/// Unit-weight (fewest hops) k shortest simple paths.
-///
-/// Specialized to BFS spur searches (≈10× faster than the Dijkstra
-/// variant on the paper's Lightning-scale topology) — this is the hot
-/// path of Flash's mice routing table, invoked once per new receiver.
-pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
-    if k == 0 {
-        return Vec::new();
+impl KShortestHops {
+    /// Starts the enumeration of simple paths `s → t`.
+    pub fn new(s: NodeId, t: NodeId) -> Self {
+        KShortestHops {
+            s,
+            t,
+            found: Vec::new(),
+            candidates: Vec::new(),
+            exhausted: false,
+        }
     }
-    let Some(first) = crate::bfs::shortest_path(g, s, t) else {
-        return Vec::new();
-    };
-    let mut found: Vec<Path> = vec![first];
-    let mut candidates: Vec<Path> = Vec::new();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    seen.insert(found[0].nodes().to_vec());
 
-    while found.len() < k {
-        let prev_nodes = found[found.len() - 1].nodes().to_vec();
-        for i in 0..prev_nodes.len() - 1 {
-            let spur = prev_nodes[i];
-            let root: &[NodeId] = &prev_nodes[..=i];
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-            for p in &found {
-                let nodes = p.nodes();
-                if nodes.len() > i + 1 && nodes[..=i] == *root {
-                    if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
-                        banned_edges.insert(e);
-                    }
-                }
-            }
-            let banned_nodes: HashSet<NodeId> = root[..root.len() - 1].iter().copied().collect();
-            let spur_path = crate::bfs::shortest_path_filtered(g, spur, t, |e| {
-                if banned_edges.contains(&e) {
-                    return false;
-                }
-                let (u, v) = g.endpoints(e);
-                !banned_nodes.contains(&u) && !banned_nodes.contains(&v)
-            });
-            let Some(sp) = spur_path else { continue };
-            let mut nodes = root[..root.len() - 1].to_vec();
-            nodes.extend_from_slice(sp.nodes());
-            if seen.insert(nodes.clone()) {
-                candidates.push(Path::from_vec_unchecked(nodes));
-            }
+    /// How many ranks [`next_path`](Self::next_path) has returned.
+    pub fn returned(&self) -> usize {
+        self.found.len()
+    }
+
+    /// Returns the next-ranked simple path, or `None` once every simple
+    /// path `s → t` of `g` has been returned.
+    pub fn next_path(&mut self, g: &DiGraph) -> Option<Path> {
+        if self.exhausted {
+            return None;
         }
-        if candidates.is_empty() {
-            break;
+        if self.found.is_empty() {
+            self.candidates
+                .extend(bfs::shortest_path(g, self.s, self.t));
+        } else {
+            self.push_spurs(g);
         }
-        let best = candidates
+        let best = self
+            .candidates
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
@@ -171,16 +69,69 @@ pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec
                     .cmp(&b.hops())
                     .then_with(|| a.nodes().cmp(b.nodes()))
             })
-            .map(|(i, _)| i)
-            .unwrap(); // pcn-lint: allow(panic) — the loop guard ensures candidates is non-empty
-        found.push(candidates.swap_remove(best));
+            .map(|(i, _)| i);
+        let Some(best) = best else {
+            self.exhausted = true;
+            return None;
+        };
+        let path = self.candidates.swap_remove(best);
+        self.found.push(path.clone());
+        Some(path)
     }
-    found
+
+    /// Adds the spur paths of the last found path to the candidate pool.
+    fn push_spurs(&mut self, g: &DiGraph) {
+        let Some(prev) = self.found.last() else {
+            return;
+        };
+        let prev = prev.nodes();
+        let mut banned_edges: Vec<EdgeId> = Vec::new();
+        // Each node of the previous path except the last is a spur node.
+        for i in 0..prev.len() - 1 {
+            let root = &prev[..=i];
+            // Edges leaving the spur node along any found path sharing
+            // this root are banned.
+            banned_edges.clear();
+            for p in &self.found {
+                let nodes = p.nodes();
+                if nodes.len() > i + 1 && nodes[..=i] == *root {
+                    if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
+                        banned_edges.push(e);
+                    }
+                }
+            }
+            // Nodes on the root before the spur node are banned to keep
+            // paths loopless.
+            let banned_nodes = &prev[..i];
+            let spur = bfs::shortest_path_filtered(g, prev[i], self.t, |e| {
+                if banned_edges.contains(&e) {
+                    return false;
+                }
+                let (u, v) = g.endpoints(e);
+                !banned_nodes.contains(&u) && !banned_nodes.contains(&v)
+            });
+            let Some(spur) = spur else { continue };
+            let mut nodes = banned_nodes.to_vec();
+            nodes.extend_from_slice(spur.nodes());
+            if !self.candidates.iter().any(|c| c.nodes() == nodes) {
+                self.candidates.push(Path::from_vec_unchecked(nodes));
+            }
+        }
+    }
+}
+
+/// The first `k` ranks of [`KShortestHops`]: up to `k` simple paths
+/// `s → t` in non-decreasing hop order. Fewer paths are returned when the
+/// graph does not contain `k` distinct simple paths.
+pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
+    let mut ranks = KShortestHops::new(s, t);
+    std::iter::from_fn(|| ranks.next_path(g)).take(k).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -261,95 +212,15 @@ mod tests {
         assert!(k_shortest_paths_hops(&g, n(5), n(0), 4).is_empty());
     }
 
+    /// An exhausted iterator stays exhausted and keeps its count.
     #[test]
-    fn weighted_variant_orders_by_weight() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [(0u32, 1u32, 1u64), (1, 3, 1), (0, 2, 1), (2, 3, 10)] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let ps = k_shortest_paths(&g, n(0), n(3), 2, |e| Some(w[e.index()]));
-        assert_eq!(ps.len(), 2);
-        assert_eq!(ps[0].weight, 2);
-        assert_eq!(ps[1].weight, 11);
-    }
-
-    /// Regression: a candidate whose *root* traverses a filtered-out
-    /// edge must be discarded, not kept with an understated weight.
-    ///
-    /// Only a stateful weight closure can trigger this (a pure filter's
-    /// roots always pass, because every found path was discovered through
-    /// that same filter) — exactly the capacity-dependent filters the
-    /// routers use. Here edge 0→1 is traversable once (the initial
-    /// Dijkstra queries each edge at most once) and filtered afterwards:
-    /// the 0-1-2-3 candidate stitched onto the now-dead 0→1 root must
-    /// not appear, and the understated weight 11 must not outrank the
-    /// valid 0-2-3 candidate (weight 20).
-    #[test]
-    fn stale_root_edge_discards_candidate() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [
-            (0u32, 1u32, 1u64),
-            (1, 3, 1),
-            (0, 2, 10),
-            (2, 3, 10),
-            (1, 2, 1),
-        ] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let e01 = g.edge(n(0), n(1)).unwrap();
-        let mut e01_queries = 0usize;
-        let ps = k_shortest_paths(&g, n(0), n(3), 3, |e| {
-            if e == e01 {
-                e01_queries += 1;
-                return (e01_queries == 1).then_some(w[e.index()]);
-            }
-            Some(w[e.index()])
-        });
-        assert_eq!(ps[0].path.nodes(), &[n(0), n(1), n(3)]);
-        assert_eq!(ps.len(), 2, "0-1-2-3 rides a dead root and must be gone");
-        assert_eq!(ps[1].path.nodes(), &[n(0), n(2), n(3)]);
-        assert_eq!(
-            ps[1].weight, 20,
-            "surviving candidate keeps its true weight"
-        );
-    }
-
-    /// With a pure filter, every returned path avoids the filtered edge
-    /// and reports its exact weight sum.
-    #[test]
-    fn filtered_edge_never_appears_and_weights_are_exact() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [
-            (0u32, 1u32, 1u64),
-            (1, 3, 1),
-            (0, 2, 2),
-            (2, 3, 2),
-            (1, 2, 1),
-            (2, 1, 1),
-        ] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let dead = g.edge(n(1), n(3)).unwrap();
-        let ps = k_shortest_paths(&g, n(0), n(3), 10, |e| (e != dead).then(|| w[e.index()]));
-        assert!(!ps.is_empty());
-        for wp in &ps {
-            let true_weight: u64 = wp
-                .path
-                .channels()
-                .map(|(u, v)| {
-                    let e = g.edge(u, v).unwrap();
-                    assert_ne!(e, dead, "filtered edge used by {:?}", wp.path);
-                    w[e.index()]
-                })
-                .sum();
-            assert_eq!(wp.weight, true_weight);
-        }
+    fn exhausted_iterator_keeps_returning_none() {
+        let g = test_graph();
+        let mut ranks = KShortestHops::new(n(0), n(5));
+        while ranks.next_path(&g).is_some() {}
+        let total = ranks.returned();
+        assert!(ranks.next_path(&g).is_none());
+        assert_eq!(ranks.returned(), total);
     }
 
     #[test]
