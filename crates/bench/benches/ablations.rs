@@ -1,6 +1,8 @@
-//! Design-choice ablations called out in DESIGN.md. Each bench reports
-//! throughput of the variant; the companion assertions live in the
-//! integration tests — here we quantify the *cost* of each choice.
+//! Design-choice ablations, on scale-free graphs standing in for the
+//! crawled Ripple/Lightning topologies (which are not in the
+//! repository). Each bench reports throughput of the variant; the
+//! companion assertions live in the integration tests — here we
+//! quantify the *cost* of each choice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flash_bench::{bench_network, bench_payment};

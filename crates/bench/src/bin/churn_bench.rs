@@ -25,6 +25,8 @@
 //! produce byte-identical JSON except for the wall-derived `wall_ns`
 //! field.
 
+use flash_bench::record::ChurnRecord;
+use flash_bench::{bench_args, write_records};
 use pcn_experiments::figures::churn::{
     churn_mix, HOP_LATENCY_MS, NODE_SERVICE_MS, OFFERED_LOAD_PPS,
 };
@@ -33,52 +35,11 @@ use pcn_experiments::SimScheme;
 use pcn_sim::{LatencyModel, ServiceModel};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
-use serde::Serialize;
-
-/// One (scheme, churn-rate) measurement — the serialization twin of
-/// `flash_bench::gate::ChurnRecord`.
-#[derive(Serialize)]
-struct Record {
-    scheme: String,
-    nodes: usize,
-    payments: usize,
-    offered_pps: f64,
-    closes_per_sec: f64,
-    hop_latency_ms: u64,
-    service_time_ms: u64,
-    success_ratio: f64,
-    p95_latency_ms: f64,
-    closed_channels: u64,
-    stale_probe_failures: u64,
-    reprobes_triggered: u64,
-    wall_ns: u64,
-}
 
 const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_churn.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: churn_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (smoke, out) = bench_args("churn_bench", "BENCH_churn.json");
 
     // Both modes sweep the same rates so the strict-degradation shape
     // (and the gate's check of it) is present in the smoke numbers;
@@ -89,7 +50,7 @@ fn main() {
     let net = testbed_topology(nodes, 1000, 1500, seed);
     let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<ChurnRecord> = Vec::new();
     for scheme in SCHEMES {
         for &rate in rates {
             let wall_start = pcn_proto::wall_now();
@@ -117,7 +78,7 @@ fn main() {
                 report.stale_probe_failures,
                 report.reprobes_triggered,
             );
-            records.push(Record {
+            records.push(ChurnRecord {
                 scheme: scheme.label(),
                 nodes,
                 payments,
@@ -135,16 +96,6 @@ fn main() {
         }
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
+    write_records(&out, &records).expect("write bench output");
     println!("wrote {out}");
 }

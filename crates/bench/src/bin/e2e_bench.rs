@@ -28,63 +28,18 @@
 //! and `events_per_sec` fields (which is why the gate only *warns* on
 //! `events_per_sec` drops).
 
+use flash_bench::record::E2eRecord;
+use flash_bench::{bench_args, write_records};
 use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
 use pcn_experiments::SimScheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
-use serde::Serialize;
-
-/// One (scheme, offered-load) measurement.
-#[derive(Serialize)]
-struct Record {
-    scheme: String,
-    nodes: usize,
-    payments: usize,
-    offered_pps: f64,
-    hop_latency_ms: u64,
-    service_time_ms: u64,
-    success_ratio: f64,
-    throughput_pps: f64,
-    p50_latency_ms: f64,
-    p95_latency_ms: f64,
-    p99_latency_ms: f64,
-    p50_queue_delay_ms: f64,
-    p95_queue_delay_ms: f64,
-    peak_in_flight: u64,
-    peak_backlog: u64,
-    max_node_utilization: f64,
-    events: u64,
-    virtual_makespan_ms: f64,
-    wall_ns: u64,
-    events_per_sec: f64,
-}
 
 const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_e2e.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: e2e_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (smoke, out) = bench_args("e2e_bench", "BENCH_e2e.json");
 
     // Both modes sweep the same 8× load spread so the latency-vs-load
     // shape (and the gate's flat-curve check) is present in the smoke
@@ -97,7 +52,7 @@ fn main() {
     let net = testbed_topology(nodes, 1000, 1500, seed);
     let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<E2eRecord> = Vec::new();
     for scheme in SCHEMES {
         for &load in loads {
             let wall_start = pcn_proto::wall_now();
@@ -125,7 +80,7 @@ fn main() {
                 report.queue_delay_ms(0.95),
                 report.peak_in_flight,
             );
-            records.push(Record {
+            records.push(E2eRecord {
                 scheme: scheme.label(),
                 nodes,
                 payments,
@@ -154,16 +109,6 @@ fn main() {
         }
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
+    write_records(&out, &records).expect("write bench output");
     println!("wrote {out}");
 }

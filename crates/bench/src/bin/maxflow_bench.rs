@@ -19,24 +19,12 @@
 //! (>2× at lightning scale) or warm-start stops beating cold restart.
 //! `--smoke` shrinks the topologies for CI.
 
+use flash_bench::record::MaxflowRecord;
+use flash_bench::{bench_args, write_records};
 use pcn_graph::generators;
 use pcn_graph::maxflow::{Dinic, EdmondsKarp, IncrementalMaxFlow, MaxFlowSolver, PushRelabel};
 use pcn_graph::{DiGraph, EdgeId};
 use pcn_types::NodeId;
-use serde::Serialize;
-
-/// One (topology, kernel) measurement.
-#[derive(Serialize)]
-struct Record {
-    topology: String,
-    nodes: usize,
-    directed_edges: usize,
-    kernel: String,
-    pairs: usize,
-    iters_per_pair: usize,
-    mean_ns_per_pair: u64,
-    total_flow: u64,
-}
 
 /// Deterministic capacities spanning several orders of magnitude (the
 /// satoshi-vs-dollar spread of real channel balances).
@@ -61,28 +49,7 @@ fn pairs(n: usize, count: usize) -> Vec<(NodeId, NodeId)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_maxflow.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: maxflow_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (smoke, out) = bench_args("maxflow_bench", "BENCH_maxflow.json");
 
     // (name, graph, pair count, timed iterations per pair).
     let topologies: Vec<(&str, DiGraph, usize, usize)> = if smoke {
@@ -128,10 +95,20 @@ fn main() {
         Box::new(PushRelabel),
     ];
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<MaxflowRecord> = Vec::new();
     for (name, g, npairs, iters) in &topologies {
         let caps = capacities(g);
         let st = pairs(g.node_count(), *npairs);
+        let record = |kernel: &str, pairs, iters_per_pair, ns: u128, total_flow| MaxflowRecord {
+            topology: (*name).to_string(),
+            nodes: g.node_count(),
+            directed_edges: g.edge_count(),
+            kernel: kernel.to_string(),
+            pairs,
+            iters_per_pair,
+            mean_ns_per_pair: u64::try_from(ns).unwrap_or(u64::MAX),
+            total_flow,
+        };
         // Differential check first: every kernel must report the same
         // value on every pair before its timing is worth recording.
         let reference: Vec<u64> = st
@@ -161,16 +138,8 @@ fn main() {
             }
             let wall_elapsed = wall_start.elapsed();
             let per_pair = wall_elapsed.as_nanos() / (st.len() as u128 * *iters as u128);
-            records.push(Record {
-                topology: (*name).to_string(),
-                nodes: g.node_count(),
-                directed_edges: g.edge_count(),
-                kernel: solver.name().to_string(),
-                pairs: st.len(),
-                iters_per_pair: *iters,
-                mean_ns_per_pair: u64::try_from(per_pair).unwrap_or(u64::MAX),
-                total_flow: total_flow / *iters as u64,
-            });
+            let mean_flow = total_flow / *iters as u64;
+            records.push(record(solver.name(), st.len(), *iters, per_pair, mean_flow));
             println!("{name:>22} {:>14}: {:>12} ns/pair", solver.name(), per_pair);
         }
 
@@ -226,30 +195,11 @@ fn main() {
             ("warm-start", warm_ns, warm_total),
             ("cold-restart", cold_ns, cold_total),
         ] {
-            records.push(Record {
-                topology: (*name).to_string(),
-                nodes: g.node_count(),
-                directed_edges: g.edge_count(),
-                kernel: kernel.to_string(),
-                pairs: batches,
-                iters_per_pair: 1,
-                mean_ns_per_pair: u64::try_from(ns).unwrap_or(u64::MAX),
-                total_flow: total,
-            });
+            records.push(record(kernel, batches, 1, ns, total));
             println!("{name:>22} {kernel:>14}: {ns:>12} ns/batch");
         }
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
+    write_records(&out, &records).expect("write bench output");
     println!("wrote {out}");
 }

@@ -4,17 +4,19 @@
 //!
 //! Two kinds of check:
 //!
-//! * **Regression deltas** — records are matched on their full
-//!   configuration key; a matched pair whose *virtual* (deterministic)
-//!   metrics regress by more than [`MAX_REGRESSION`] fails the gate.
-//!   For the e2e bench that is delivered throughput down, completion
-//!   latency up, or success ratio down. For the max-flow bench the
-//!   flow values themselves must be **identical** (they are
-//!   deterministic; any drift is a kernel bug), while wall-clock
-//!   timings only *warn* — CI runners are too noisy for a hard
-//!   wall-time gate. The e2e bench's wall-derived `events_per_sec`
-//!   (the hot-loop churn metric) warns on >25% drops for the same
-//!   reason.
+//! * **Regression deltas** — one generic diff for every bench. Each
+//!   record type (defined once, in [`crate::record`]) declares its
+//!   match key, a row label and a constant [`Metric`] table; records
+//!   are matched on the key, and each metric of a matched pair is
+//!   tabulated and gated by its declared direction and severity. A
+//!   virtual (deterministic) metric that regresses by more than
+//!   [`MAX_REGRESSION`] fails the gate: for the e2e bench delivered
+//!   throughput down, completion latency up, or success ratio down. The
+//!   max-flow bench's flow values must be **identical** (they are
+//!   deterministic; any drift is a kernel bug). Wall-derived metrics
+//!   (`events_per_sec`, max-flow ns per pair) only *warn* — CI runners
+//!   are too noisy for a hard wall-time gate — and only when both sides
+//!   are nonzero (zero means an artifact from before the field existed).
 //! * **Physical suspicion** — result *shapes* that are numerically
 //!   valid but physically implausible fail even when they diff
 //!   cleanly against an equally suspicious baseline. The canonical
@@ -31,7 +33,8 @@
 //!   absolute deltas): the fastest non-oracle kernel must beat
 //!   Edmonds–Karp everywhere (>2× on the ≥1000-node lightning-scale
 //!   topology, the ROADMAP win condition) and warm-start must beat a
-//!   cold restart with identical total flow ([`gate_maxflow`]).
+//!   cold restart with identical total flow ([`gate_maxflow`]). The
+//!   shape checks are the only bench-specific code here.
 //!
 //! The library half (this module) is pure string-in/report-out so the
 //! gate itself is testable — `crates/bench/tests/gate.rs` replays the
@@ -39,9 +42,10 @@
 //! `bench_gate` binary wraps it with file IO, a Markdown delta table
 //! for `$GITHUB_STEP_SUMMARY`, and a process exit code.
 
+use crate::record::{ChurnRecord, E2eRecord, MaxflowRecord, TestbedRecord};
 use serde::Deserialize;
 
-/// Maximum tolerated relative regression on matched virtual metrics
+/// Maximum tolerated relative regression on matched metrics
 /// (0.25 = 25%).
 pub const MAX_REGRESSION: f64 = 0.25;
 
@@ -49,232 +53,58 @@ pub const MAX_REGRESSION: f64 = 0.25;
 /// above which identical latency percentiles are physically suspicious.
 pub const FLAT_LOAD_SPREAD: f64 = 4.0;
 
-/// One record of `BENCH_e2e.json`. Fields added after PR 4 carry
-/// `#[serde(default)]` so the gate can still parse historical
-/// artifacts (and its own regression-test fixtures).
-#[derive(Clone, Debug, Deserialize)]
-pub struct E2eRecord {
-    /// Scheme label (`Flash`, `Spider`, …).
-    pub scheme: String,
-    /// Topology size.
-    pub nodes: usize,
-    /// Trace length.
-    pub payments: usize,
-    /// Offered load, payments per virtual second.
-    pub offered_pps: f64,
-    /// Per-hop propagation latency, ms.
-    pub hop_latency_ms: u64,
-    /// Per-node service time, ms (0 in pre-queue artifacts).
-    #[serde(default)]
-    pub service_time_ms: u64,
-    /// Fraction of payments fully delivered.
-    pub success_ratio: f64,
-    /// Successful payments per virtual second.
-    pub throughput_pps: f64,
-    /// Completion-latency percentiles, virtual ms.
-    pub p50_latency_ms: f64,
-    /// p95 completion latency, virtual ms.
-    pub p95_latency_ms: f64,
-    /// p99 completion latency, virtual ms.
-    pub p99_latency_ms: f64,
-    /// Median per-message queueing delay, virtual ms.
-    #[serde(default)]
-    pub p50_queue_delay_ms: f64,
-    /// p95 per-message queueing delay, virtual ms.
-    #[serde(default)]
-    pub p95_queue_delay_ms: f64,
-    /// Peak concurrently in-flight payments.
-    pub peak_in_flight: u64,
-    /// Peak per-node message backlog.
-    #[serde(default)]
-    pub peak_backlog: u64,
-    /// Busiest node's utilization in `[0, 1]`.
-    #[serde(default)]
-    pub max_node_utilization: f64,
-    /// Settlement events processed.
-    pub events: u64,
-    /// Virtual makespan, ms.
-    pub virtual_makespan_ms: f64,
-    /// Wall-clock cost of the simulation, ns (not gated).
-    pub wall_ns: u64,
-    /// Engine events processed per wall-clock second — the hot-loop
-    /// churn metric `des_hot_loop` tracks. Wall-derived, so drops
-    /// beyond [`MAX_REGRESSION`] only *warn* (CI hardware varies).
-    #[serde(default)]
-    pub events_per_sec: f64,
+/// Which way a metric must not move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Better {
+    /// A drop beyond [`MAX_REGRESSION`] regresses.
+    Higher,
+    /// A rise beyond [`MAX_REGRESSION`] regresses.
+    Lower,
+    /// Any change regresses (deterministic values).
+    Exact,
 }
 
-impl E2eRecord {
-    fn key(&self) -> (String, usize, usize, u64, u64, u64) {
-        (
-            self.scheme.clone(),
-            self.nodes,
-            self.payments,
-            self.offered_pps.to_bits(),
-            self.hop_latency_ms,
-            self.service_time_ms,
-        )
-    }
+/// One column of a record's regression diff.
+pub struct Metric<R> {
+    /// Column header and the metric's name in findings.
+    pub name: &'static str,
+    /// Which way the metric must not move.
+    pub better: Better,
+    /// The finding a regression produces; `None` shows the metric in the
+    /// delta table without gating it. A [`Severity::Warn`] metric is
+    /// only compared when both sides are nonzero.
+    pub severity: Option<Severity>,
+    /// Reads the metric off a record.
+    pub get: fn(&R) -> f64,
+}
 
-    /// The configuration group a record sweeps load within.
-    fn group(&self) -> (String, usize, usize, u64, u64) {
-        (
-            self.scheme.clone(),
-            self.nodes,
-            self.payments,
-            self.hop_latency_ms,
-            self.service_time_ms,
-        )
+impl<R> Metric<R> {
+    /// A metric declaration, for a [`Gated::METRICS`] table.
+    pub const fn new(
+        name: &'static str,
+        better: Better,
+        severity: Option<Severity>,
+        get: fn(&R) -> f64,
+    ) -> Self {
+        Self {
+            name,
+            better,
+            severity,
+            get,
+        }
     }
 }
 
-/// One record of `BENCH_churn.json`: one (scheme, churn-rate) point of
-/// the success-under-churn trajectory. Counter fields carry
-/// `#[serde(default)]` so the gate keeps parsing artifacts from before
-/// a counter existed.
-#[derive(Clone, Debug, Deserialize)]
-pub struct ChurnRecord {
-    /// Scheme label (`Flash`, `Spider`, …).
-    pub scheme: String,
-    /// Topology size.
-    pub nodes: usize,
-    /// Trace length.
-    pub payments: usize,
-    /// Offered load, payments per virtual second (fixed within a sweep).
-    pub offered_pps: f64,
-    /// Channel-close intensity — the sweep variable (crashes and
-    /// drains ride along proportionally; see the churn figure module).
-    pub closes_per_sec: f64,
-    /// Per-hop propagation latency, ms.
-    pub hop_latency_ms: u64,
-    /// Per-node service time, ms.
-    pub service_time_ms: u64,
-    /// Fraction of payments fully delivered.
-    pub success_ratio: f64,
-    /// p95 completion latency, virtual ms.
-    pub p95_latency_ms: f64,
-    /// Channels closed by churn during the run.
-    #[serde(default)]
-    pub closed_channels: u64,
-    /// Probes bounced off closed channels / crashed nodes.
-    #[serde(default)]
-    pub stale_probe_failures: u64,
-    /// Threshold-triggered re-probes across all routers.
-    #[serde(default)]
-    pub reprobes_triggered: u64,
-    /// Wall-clock cost of the simulation, ns (not gated).
-    #[serde(default)]
-    pub wall_ns: u64,
-}
-
-impl ChurnRecord {
-    fn key(&self) -> (String, usize, usize, u64, u64, u64, u64) {
-        (
-            self.scheme.clone(),
-            self.nodes,
-            self.payments,
-            self.offered_pps.to_bits(),
-            self.closes_per_sec.to_bits(),
-            self.hop_latency_ms,
-            self.service_time_ms,
-        )
-    }
-
-    /// The configuration group a record sweeps churn within.
-    fn group(&self) -> (String, usize, usize, u64, u64, u64) {
-        (
-            self.scheme.clone(),
-            self.nodes,
-            self.payments,
-            self.offered_pps.to_bits(),
-            self.hop_latency_ms,
-            self.service_time_ms,
-        )
-    }
-}
-
-/// One record of `BENCH_maxflow.json`.
-#[derive(Clone, Debug, Deserialize)]
-pub struct MaxflowRecord {
-    /// Generator topology name.
-    pub topology: String,
-    /// Node count.
-    pub nodes: usize,
-    /// Directed edge count.
-    pub directed_edges: usize,
-    /// Kernel name (`edmonds-karp`, `dinic`, …).
-    pub kernel: String,
-    /// Source/sink pairs measured.
-    pub pairs: usize,
-    /// Timed iterations per pair.
-    pub iters_per_pair: usize,
-    /// Mean wall time per pair, ns (warn-only: CI hardware varies).
-    pub mean_ns_per_pair: u64,
-    /// Sum of flow values over the pairs (deterministic; hard-gated).
-    pub total_flow: u64,
-}
-
-impl MaxflowRecord {
-    fn key(&self) -> (String, usize, usize, String, usize, usize) {
-        (
-            self.topology.clone(),
-            self.nodes,
-            self.directed_edges,
-            self.kernel.clone(),
-            self.pairs,
-            self.iters_per_pair,
-        )
-    }
-}
-
-/// One record of `BENCH_testbed.json`: one (scheme, scale) scenario run
-/// on the event-loop TCP cluster. Wall-derived fields
-/// (`events_per_sec`, `wall_ns`) only ever warn; everything else is
-/// deterministic for a zero-fault scenario.
-#[derive(Clone, Debug, Deserialize)]
-pub struct TestbedRecord {
-    /// Scheme label (`Flash`, `SP`, …).
-    pub scheme: String,
-    /// Hosted node count (the ≥200 record is the single-process scale
-    /// acceptance check).
-    pub nodes: usize,
-    /// Trace length.
-    pub payments: usize,
-    /// Fraction of payments fully delivered.
-    pub success_ratio: f64,
-    /// Volume delivered, micro-units.
-    #[serde(default)]
-    pub success_volume_micros: u64,
-    /// Fees charged, micro-units.
-    #[serde(default)]
-    pub fees_micros: u64,
-    /// `PROBE` messages serviced cluster-wide.
-    pub probe_messages: u64,
-    /// `COMMIT` messages serviced cluster-wide.
-    pub commit_messages: u64,
-    /// Wire frames received cluster-wide.
-    pub wire_in: u64,
-    /// Wire frames sent cluster-wide.
-    pub wire_out: u64,
-    /// Micro-units still escrowed at the end of the run (must be 0:
-    /// every commit was confirmed or reversed).
-    #[serde(default)]
-    pub escrow_end: u64,
-    /// Largest per-connection frame-queue high-water mark.
-    #[serde(default)]
-    pub queue_high_water: u64,
-    /// Wire frames received per wall second (warn-only: CI varies).
-    #[serde(default)]
-    pub events_per_sec: f64,
-    /// Wall-clock cost of the run, ns (not gated).
-    #[serde(default)]
-    pub wall_ns: u64,
-}
-
-impl TestbedRecord {
-    fn key(&self) -> (String, usize, usize) {
-        (self.scheme.clone(), self.nodes, self.payments)
-    }
+/// A bench record the generic regression diff can gate.
+pub trait Gated: for<'de> Deserialize<'de> + 'static {
+    /// The configuration committed and regenerated records are matched on.
+    type Key: PartialEq;
+    /// The diffed metrics, in delta-table column order.
+    const METRICS: &'static [Metric<Self>];
+    /// This record's configuration key.
+    fn key(&self) -> Self::Key;
+    /// The record's configuration for the delta table and findings.
+    fn label(&self) -> String;
 }
 
 /// How bad one finding is.
@@ -324,11 +154,6 @@ impl GateReport {
             message,
         });
     }
-
-    fn sort(&mut self) {
-        self.findings
-            .sort_by_key(|f| if f.severity == Severity::Fail { 0 } else { 1 });
-    }
 }
 
 /// Relative change from `base` to `cand` (`+0.25` = 25% higher); zero
@@ -353,95 +178,92 @@ fn pct(x: f64) -> String {
     }
 }
 
-/// Gates a regenerated e2e bench (`candidate`) against the committed
-/// one (`baseline`), both as JSON text. See the module docs for the
-/// checks.
-pub fn gate_e2e(baseline: &str, candidate: &str) -> Result<GateReport, String> {
-    let base: Vec<E2eRecord> =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
-    let cand: Vec<E2eRecord> =
-        serde_json::from_str(candidate).map_err(|e| format!("candidate: {e:?}"))?;
+/// A metric value for the table and findings: whole above 1000,
+/// otherwise at most three decimals with no trailing zeros.
+fn num(x: f64) -> String {
+    if x.abs() >= 1000.0 {
+        return format!("{x:.0}");
+    }
+    let s = format!("{x:.3}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+/// The finding, if any, for metric `m` moving from `b` to `c` on the
+/// record labelled `label`.
+fn regression<R>(m: &Metric<R>, label: &str, b: f64, c: f64) -> Option<Finding> {
+    let severity = m.severity?;
+    let d = rel_change(b, c);
+    let regressed = match m.better {
+        Better::Higher => d < -MAX_REGRESSION,
+        Better::Lower => d > MAX_REGRESSION,
+        Better::Exact => b != c,
+    };
+    if !regressed || (severity == Severity::Warn && (b == 0.0 || c == 0.0)) {
+        return None;
+    }
+    let (name, b, c) = (m.name, num(b), num(c));
+    let message = match (m.better, severity) {
+        (Better::Exact, _) => format!(
+            "{label}: {name} drifted {b} → {c} — the value is deterministic, \
+             this is a correctness change"
+        ),
+        (_, Severity::Fail) => format!("{label}: {name} regressed {} ({b} → {c})", pct(d)),
+        (_, Severity::Warn) => {
+            let dir = if d < 0.0 { "down" } else { "up" };
+            format!("{label}: {name} {dir} {} ({b} → {c}) — warn-only", pct(d))
+        }
+    };
+    Some(Finding { severity, message })
+}
+
+/// The regression diff every gate shares: parses both files, matches
+/// records on [`Gated::key`], tabulates and gates each declared metric,
+/// warns on records present on one side only, fails when nothing
+/// matches, then runs the bench's `shape` check on the candidate.
+fn diff<R: Gated>(
+    baseline: &str,
+    candidate: &str,
+    shape: fn(&[R], &mut GateReport),
+) -> Result<GateReport, String> {
+    let base: Vec<R> = serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
+    let cand: Vec<R> = serde_json::from_str(candidate).map_err(|e| format!("candidate: {e:?}"))?;
     let mut report = GateReport::default();
-    report.table.push_str(
-        "| scheme | pps | svc ms | throughput (pps) | Δ | p95 latency (ms) | Δ | success | Δ |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
+    let headers: String = R::METRICS
+        .iter()
+        .map(|m| format!(" {} | Δ |", m.name))
+        .collect();
+    report.table = format!(
+        "| configuration |{headers}\n|---|{}\n",
+        "---|---|".repeat(R::METRICS.len())
     );
     let mut matched = 0usize;
     for c in &cand {
+        let label = c.label();
         let Some(b) = base.iter().find(|b| b.key() == c.key()) else {
             report.warn(format!(
-                "no committed baseline for {} @ {} pps (nodes {}, service {}ms) — new configuration?",
-                c.scheme, c.offered_pps, c.nodes, c.service_time_ms
+                "no committed baseline for {label} — new configuration?"
             ));
             continue;
         };
         matched += 1;
-        let d_tput = rel_change(b.throughput_pps, c.throughput_pps);
-        let d_p95 = rel_change(b.p95_latency_ms, c.p95_latency_ms);
-        let d_ratio = rel_change(b.success_ratio, c.success_ratio);
-        report.table.push_str(&format!(
-            "| {} | {} | {} | {:.1} → {:.1} | {} | {:.1} → {:.1} | {} | {:.1}% → {:.1}% | {} |\n",
-            c.scheme,
-            c.offered_pps,
-            c.service_time_ms,
-            b.throughput_pps,
-            c.throughput_pps,
-            pct(d_tput),
-            b.p95_latency_ms,
-            c.p95_latency_ms,
-            pct(d_p95),
-            b.success_ratio * 100.0,
-            c.success_ratio * 100.0,
-            pct(d_ratio),
-        ));
-        if d_tput < -MAX_REGRESSION {
-            report.fail(format!(
-                "{} @ {} pps: delivered throughput regressed {} ({:.2} → {:.2} pps)",
-                c.scheme,
-                c.offered_pps,
-                pct(d_tput),
-                b.throughput_pps,
-                c.throughput_pps
+        report.table.push_str(&format!("| {label} |"));
+        for m in R::METRICS {
+            let (bv, cv) = ((m.get)(b), (m.get)(c));
+            report.table.push_str(&format!(
+                " {} → {} | {} |",
+                num(bv),
+                num(cv),
+                pct(rel_change(bv, cv))
             ));
+            report.findings.extend(regression(m, &label, bv, cv));
         }
-        if d_p95 > MAX_REGRESSION {
-            report.fail(format!(
-                "{} @ {} pps: p95 completion latency regressed {} ({:.1} → {:.1} ms)",
-                c.scheme,
-                c.offered_pps,
-                pct(d_p95),
-                b.p95_latency_ms,
-                c.p95_latency_ms
-            ));
-        }
-        if d_ratio < -MAX_REGRESSION {
-            report.fail(format!(
-                "{} @ {} pps: success ratio regressed {} ({:.1}% → {:.1}%)",
-                c.scheme,
-                c.offered_pps,
-                pct(d_ratio),
-                b.success_ratio * 100.0,
-                c.success_ratio * 100.0
-            ));
-        }
-        let d_eps = rel_change(b.events_per_sec, c.events_per_sec);
-        if b.events_per_sec > 0.0 && c.events_per_sec > 0.0 && d_eps < -MAX_REGRESSION {
-            report.warn(format!(
-                "{} @ {} pps: engine events/sec down {} ({:.0} → {:.0}) — \
-                 hot-loop churn suspect; warn-only (CI hardware varies)",
-                c.scheme,
-                c.offered_pps,
-                pct(d_eps),
-                b.events_per_sec,
-                c.events_per_sec
-            ));
-        }
+        report.table.push('\n');
     }
     for b in &base {
         if !cand.iter().any(|c| c.key() == b.key()) {
             report.warn(format!(
-                "committed record {} @ {} pps (nodes {}, service {}ms) was not regenerated — lost coverage?",
-                b.scheme, b.offered_pps, b.nodes, b.service_time_ms
+                "committed record {} was not regenerated — lost coverage?",
+                b.label()
             ));
         }
     }
@@ -452,9 +274,31 @@ pub fn gate_e2e(baseline: &str, candidate: &str) -> Result<GateReport, String> {
                 .into(),
         );
     }
-    check_flat_latency(&cand, &mut report);
-    report.sort();
+    shape(&cand, &mut report);
+    report
+        .findings
+        .sort_by_key(|f| if f.severity == Severity::Fail { 0 } else { 1 });
     Ok(report)
+}
+
+/// Gates a regenerated e2e bench (`candidate`) against the committed
+/// one (`baseline`), both as JSON text: the [`E2eRecord`] metric diff,
+/// then the flat-latency shape check.
+pub fn gate_e2e(baseline: &str, candidate: &str) -> Result<GateReport, String> {
+    diff(baseline, candidate, check_flat_latency)
+}
+
+/// `records` partitioned by `key`, in order of first appearance.
+fn group_by<'a, R, K: PartialEq>(records: &'a [R], key: impl Fn(&'a R) -> K) -> Vec<Vec<&'a R>> {
+    let mut groups: Vec<(K, Vec<&R>)> = Vec::new();
+    for r in records {
+        let k = key(r);
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(r),
+            None => groups.push((k, vec![r])),
+        }
+    }
+    groups.into_iter().map(|(_, members)| members).collect()
 }
 
 /// The physical-suspicion check: within one (scheme, topology,
@@ -463,14 +307,16 @@ pub fn gate_e2e(baseline: &str, candidate: &str) -> Result<GateReport, String> {
 /// is not responding to load — the pre-service-queue engine's exact
 /// failure mode.
 fn check_flat_latency(records: &[E2eRecord], report: &mut GateReport) {
-    let mut groups: Vec<(String, usize, usize, u64, u64)> = Vec::new();
-    for r in records {
-        if !groups.contains(&r.group()) {
-            groups.push(r.group());
-        }
-    }
-    for g in groups {
-        let members: Vec<&E2eRecord> = records.iter().filter(|r| r.group() == g).collect();
+    let configs = group_by(records, |r| {
+        (
+            &r.scheme,
+            r.nodes,
+            r.payments,
+            r.hop_latency_ms,
+            r.service_time_ms,
+        )
+    });
+    for members in configs {
         if members.len() < 2 {
             continue;
         }
@@ -521,93 +367,24 @@ fn check_flat_latency(records: &[E2eRecord], report: &mut GateReport) {
 ///   nonzero churn counters fails: the empty schedule must stay
 ///   bit-exact.
 pub fn gate_churn(baseline: &str, candidate: &str) -> Result<GateReport, String> {
-    let base: Vec<ChurnRecord> =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
-    let cand: Vec<ChurnRecord> =
-        serde_json::from_str(candidate).map_err(|e| format!("candidate: {e:?}"))?;
-    let mut report = GateReport::default();
-    report.table.push_str(
-        "| scheme | closes/s | success | Δ | p95 latency (ms) | Δ | closed | reprobes |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    let mut matched = 0usize;
-    for c in &cand {
-        let Some(b) = base.iter().find(|b| b.key() == c.key()) else {
-            report.warn(format!(
-                "no committed baseline for {} @ {} closes/s (nodes {}, {} pps) — new configuration?",
-                c.scheme, c.closes_per_sec, c.nodes, c.offered_pps
-            ));
-            continue;
-        };
-        matched += 1;
-        let d_ratio = rel_change(b.success_ratio, c.success_ratio);
-        let d_p95 = rel_change(b.p95_latency_ms, c.p95_latency_ms);
-        report.table.push_str(&format!(
-            "| {} | {} | {:.1}% → {:.1}% | {} | {:.1} → {:.1} | {} | {} | {} |\n",
-            c.scheme,
-            c.closes_per_sec,
-            b.success_ratio * 100.0,
-            c.success_ratio * 100.0,
-            pct(d_ratio),
-            b.p95_latency_ms,
-            c.p95_latency_ms,
-            pct(d_p95),
-            c.closed_channels,
-            c.reprobes_triggered,
-        ));
-        if d_ratio < -MAX_REGRESSION {
-            report.fail(format!(
-                "{} @ {} closes/s: success ratio regressed {} ({:.1}% → {:.1}%)",
-                c.scheme,
-                c.closes_per_sec,
-                pct(d_ratio),
-                b.success_ratio * 100.0,
-                c.success_ratio * 100.0
-            ));
-        }
-        if d_p95 > MAX_REGRESSION {
-            report.warn(format!(
-                "{} @ {} closes/s: p95 completion latency up {} ({:.1} → {:.1} ms) — \
-                 warn-only (churn latency tails are re-probing-sensitive)",
-                c.scheme,
-                c.closes_per_sec,
-                pct(d_p95),
-                b.p95_latency_ms,
-                c.p95_latency_ms
-            ));
-        }
-    }
-    for b in &base {
-        if !cand.iter().any(|c| c.key() == b.key()) {
-            report.warn(format!(
-                "committed record {} @ {} closes/s was not regenerated — lost coverage?",
-                b.scheme, b.closes_per_sec
-            ));
-        }
-    }
-    if matched == 0 && !base.is_empty() {
-        report.fail(
-            "no candidate record matches any committed record — \
-             schema or configuration drift; regenerate the committed file"
-                .into(),
-        );
-    }
-    check_churn_shape(&cand, &mut report);
-    report.sort();
-    Ok(report)
+    diff(baseline, candidate, check_churn_shape)
 }
 
 /// The churn physical-suspicion check: each configuration must sweep
 /// ≥3 churn rates and success must strictly fall as churn rises.
 fn check_churn_shape(records: &[ChurnRecord], report: &mut GateReport) {
-    let mut groups: Vec<(String, usize, usize, u64, u64, u64)> = Vec::new();
-    for r in records {
-        if !groups.contains(&r.group()) {
-            groups.push(r.group());
-        }
-    }
-    for g in groups {
-        let mut members: Vec<&ChurnRecord> = records.iter().filter(|r| r.group() == g).collect();
+    let configs = group_by(records, |r| {
+        let load = r.offered_pps.to_bits();
+        (
+            &r.scheme,
+            r.nodes,
+            r.payments,
+            load,
+            r.hop_latency_ms,
+            r.service_time_ms,
+        )
+    });
+    for mut members in configs {
         members.sort_by_key(|r| r.closes_per_sec.to_bits());
         if members.len() < 3 {
             report.fail(format!(
@@ -664,95 +441,7 @@ fn check_churn_shape(records: &[ChurnRecord], report: &mut GateReport) {
 /// * **Liveness** — a record with `success_ratio == 0` fails: a trace
 ///   that exercises no successes measures nothing.
 pub fn gate_testbed(baseline: &str, candidate: &str) -> Result<GateReport, String> {
-    let base: Vec<TestbedRecord> =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
-    let cand: Vec<TestbedRecord> =
-        serde_json::from_str(candidate).map_err(|e| format!("candidate: {e:?}"))?;
-    let mut report = GateReport::default();
-    report.table.push_str(
-        "| scheme | nodes | success | Δ | messages | Δ | events/s | Δ |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    let mut matched = 0usize;
-    for c in &cand {
-        let Some(b) = base.iter().find(|b| b.key() == c.key()) else {
-            report.warn(format!(
-                "no committed baseline for {} @ {} nodes ({} payments) — new configuration?",
-                c.scheme, c.nodes, c.payments
-            ));
-            continue;
-        };
-        matched += 1;
-        let b_msgs = b.probe_messages + b.commit_messages;
-        let c_msgs = c.probe_messages + c.commit_messages;
-        let d_ratio = rel_change(b.success_ratio, c.success_ratio);
-        let d_msgs = rel_change(b_msgs as f64, c_msgs as f64);
-        let d_eps = rel_change(b.events_per_sec, c.events_per_sec);
-        report.table.push_str(&format!(
-            "| {} | {} | {:.1}% → {:.1}% | {} | {} → {} | {} | {:.0} → {:.0} | {} |\n",
-            c.scheme,
-            c.nodes,
-            b.success_ratio * 100.0,
-            c.success_ratio * 100.0,
-            pct(d_ratio),
-            b_msgs,
-            c_msgs,
-            pct(d_msgs),
-            b.events_per_sec,
-            c.events_per_sec,
-            pct(d_eps),
-        ));
-        if d_ratio < -MAX_REGRESSION {
-            report.fail(format!(
-                "{} @ {} nodes: success ratio regressed {} ({:.1}% → {:.1}%)",
-                c.scheme,
-                c.nodes,
-                pct(d_ratio),
-                b.success_ratio * 100.0,
-                c.success_ratio * 100.0
-            ));
-        }
-        if d_msgs > MAX_REGRESSION {
-            report.warn(format!(
-                "{} @ {} nodes: probe+commit messages up {} ({} → {}) — \
-                 message-budget drift; check probing changes",
-                c.scheme,
-                c.nodes,
-                pct(d_msgs),
-                b_msgs,
-                c_msgs
-            ));
-        }
-        if b.events_per_sec > 0.0 && c.events_per_sec > 0.0 && d_eps < -MAX_REGRESSION {
-            report.warn(format!(
-                "{} @ {} nodes: wire events/sec down {} ({:.0} → {:.0}) — \
-                 event-loop throughput suspect; warn-only (CI hardware varies)",
-                c.scheme,
-                c.nodes,
-                pct(d_eps),
-                b.events_per_sec,
-                c.events_per_sec
-            ));
-        }
-    }
-    for b in &base {
-        if !cand.iter().any(|c| c.key() == b.key()) {
-            report.warn(format!(
-                "committed record {} @ {} nodes was not regenerated — lost coverage?",
-                b.scheme, b.nodes
-            ));
-        }
-    }
-    if matched == 0 && !base.is_empty() {
-        report.fail(
-            "no candidate record matches any committed record — \
-             schema or configuration drift; regenerate the committed file"
-                .into(),
-        );
-    }
-    check_testbed_shape(&cand, &mut report);
-    report.sort();
-    Ok(report)
+    diff(baseline, candidate, check_testbed_shape)
 }
 
 /// The testbed physical-suspicion checks: per-record wire conservation
@@ -798,87 +487,17 @@ fn check_testbed_shape(records: &[TestbedRecord], report: &mut GateReport) {
 /// pair was recorded, `warm-start` must beat `cold-restart` and carry
 /// an identical total flow.
 pub fn gate_maxflow(baseline: &str, candidate: &str) -> Result<GateReport, String> {
-    let base: Vec<MaxflowRecord> =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
-    let cand: Vec<MaxflowRecord> =
-        serde_json::from_str(candidate).map_err(|e| format!("candidate: {e:?}"))?;
-    let mut report = GateReport::default();
-    report
-        .table
-        .push_str("| topology | kernel | ns/pair | Δ | total flow |\n|---|---|---|---|---|\n");
-    let mut matched = 0usize;
-    for c in &cand {
-        let Some(b) = base.iter().find(|b| b.key() == c.key()) else {
-            report.warn(format!(
-                "no committed baseline for {} / {}",
-                c.topology, c.kernel
-            ));
-            continue;
-        };
-        matched += 1;
-        let d_ns = rel_change(b.mean_ns_per_pair as f64, c.mean_ns_per_pair as f64);
-        let flow_note = if c.total_flow == b.total_flow {
-            format!("{}", c.total_flow)
-        } else {
-            format!("{} → {} ✗", b.total_flow, c.total_flow)
-        };
-        report.table.push_str(&format!(
-            "| {} | {} | {} → {} | {} | {} |\n",
-            c.topology,
-            c.kernel,
-            b.mean_ns_per_pair,
-            c.mean_ns_per_pair,
-            pct(d_ns),
-            flow_note
-        ));
-        if c.total_flow != b.total_flow {
-            report.fail(format!(
-                "{} / {}: total flow drifted {} → {} — kernels are deterministic, \
-                 this is a correctness change",
-                c.topology, c.kernel, b.total_flow, c.total_flow
-            ));
-        }
-        if d_ns > MAX_REGRESSION {
-            report.warn(format!(
-                "{} / {}: mean wall time per pair up {} ({} → {} ns) — \
-                 warn-only (CI hardware varies)",
-                c.topology,
-                c.kernel,
-                pct(d_ns),
-                b.mean_ns_per_pair,
-                c.mean_ns_per_pair
-            ));
-        }
-    }
-    for b in &base {
-        if !cand.iter().any(|c| c.key() == b.key()) {
-            report.warn(format!(
-                "committed record {} / {} was not regenerated — lost coverage?",
-                b.topology, b.kernel
-            ));
-        }
-    }
-    if matched == 0 && !base.is_empty() {
-        report.fail(
-            "no candidate record matches any committed record — \
-             schema or configuration drift; regenerate the committed file"
-                .into(),
-        );
-    }
+    diff(baseline, candidate, check_maxflow_shape)
+}
 
-    // Shape checks on the candidate alone (they fail even against
-    // itself): the kernels exist to beat the oracle, and warm-start
-    // exists to beat a cold restart. Both are wall-time *ratios within
-    // one run* on one machine, so unlike the absolute deltas above they
-    // are robust to CI hardware variance and can hard-fail.
-    let mut topologies: Vec<&str> = Vec::new();
-    for c in &cand {
-        if !topologies.contains(&c.topology.as_str()) {
-            topologies.push(&c.topology);
-        }
-    }
-    for topo in topologies {
-        let recs: Vec<&MaxflowRecord> = cand.iter().filter(|c| c.topology == topo).collect();
+/// The max-flow shape checks on the candidate alone (they fail even
+/// against itself): the kernels exist to beat the oracle, and
+/// warm-start exists to beat a cold restart. Both are wall-time
+/// *ratios within one run* on one machine, so unlike the absolute
+/// deltas they are robust to CI hardware variance and can hard-fail.
+fn check_maxflow_shape(cand: &[MaxflowRecord], report: &mut GateReport) {
+    for recs in group_by(cand, |r| &r.topology) {
+        let topo = &recs[0].topology;
         let oracle = recs.iter().find(|r| r.kernel == "edmonds-karp");
         let fastest = recs
             .iter()
@@ -929,6 +548,4 @@ pub fn gate_maxflow(baseline: &str, candidate: &str) -> Result<GateReport, Strin
             }
         }
     }
-    report.sort();
-    Ok(report)
 }

@@ -8,10 +8,11 @@
 //! * `figures` — one representative cell per paper figure, so `cargo
 //!   bench` regenerates a reduced-scale version of every experiment and
 //!   its runtime budget is tracked over time.
-//! * `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (random vs. fixed mice path order, lazy vs. exhaustive probing,
-//!   max-flow vs. edge-disjoint vs. Yen path finding, LP vs. sequential
-//!   fee splits).
+//! * `ablations` — the design-choice ablations (random vs. fixed mice
+//!   path order, lazy vs. exhaustive probing, max-flow vs.
+//!   edge-disjoint vs. Yen path finding, LP vs. sequential fee splits),
+//!   on scale-free graphs standing in for the crawled Ripple/Lightning
+//!   topologies, which are not in the repository.
 //!
 //! Plus the binaries:
 //!
@@ -34,6 +35,11 @@
 //! the gate always compares like with like on PR CI); the weekly
 //! scheduled workflow regenerates the full-scale trajectory as
 //! artifacts.
+//!
+//! Each record type is defined once, in [`record`], and declares per
+//! metric how [`gate`] diffs it. The four record bins share one command
+//! line ([`parse_args`], `[--smoke] [--out FILE]`) and one output
+//! format ([`write_records`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,10 +48,12 @@
 #![deny(clippy::dbg_macro, clippy::print_stdout)]
 
 pub mod gate;
+pub mod record;
 
 use pcn_graph::generators;
 use pcn_sim::Network;
 use pcn_types::{Amount, NodeId, Payment, TxId};
+use serde::Serialize;
 
 /// A mid-size scale-free test network (uniform funds).
 pub fn bench_network(nodes: usize, seed: u64) -> Network {
@@ -68,4 +76,72 @@ pub fn bench_payment(net: &Network, amount_units: u64, seed: u64) -> Payment {
         t = NodeId((t.0 + 1) % n);
     }
     Payment::new(TxId(seed), s, t, Amount::from_units(amount_units))
+}
+
+/// A record bin's parsed command line.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// `--smoke`: the reduced CI scale the committed files are made at.
+    pub smoke: bool,
+    /// `--out FILE`; `None` means the bin's default `BENCH_*.json`.
+    pub out: Option<String>,
+    /// `--help` / `-h` was given (later arguments are not parsed).
+    pub help: bool,
+}
+
+/// Parses a record bin's arguments (program name excluded):
+/// `[--smoke] [--out FILE] [--help]`.
+///
+/// # Errors
+/// Names the offending argument: an unknown one, or `--out` with no
+/// file after it.
+pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
+    let mut parsed = BenchArgs::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--out" => parsed.out = Some(args.next().ok_or("--out needs a file")?.clone()),
+            "--help" | "-h" => {
+                parsed.help = true;
+                break;
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// The process command line of the record bin `bin`, as `(smoke, out)`
+/// with `out` defaulting to `default_out`. Prints usage and exits 0 on
+/// `--help`, or prints the error and usage and exits 2 on a bad
+/// argument.
+pub fn bench_args(bin: &str, default_out: &str) -> (bool, String) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = format!("usage: {bin} [--smoke] [--out FILE]");
+    match parse_args(&args) {
+        Ok(BenchArgs { help: true, .. }) => {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        Ok(BenchArgs { smoke, out, .. }) => (smoke, out.unwrap_or_else(|| default_out.into())),
+        Err(e) => {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Writes `records` to `path` as a JSON array with one record per line:
+/// diffable in review, still plain JSON.
+///
+/// # Errors
+/// Propagates a serialization or file-write error.
+pub fn write_records<R: Serialize>(path: &str, records: &[R]) -> std::io::Result<()> {
+    let mut lines = Vec::with_capacity(records.len());
+    for r in records {
+        let json = serde_json::to_string(r).map_err(|e| std::io::Error::other(e.to_string()))?;
+        lines.push(format!("  {json}"));
+    }
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
 }

@@ -5,8 +5,8 @@
 //! * [`watts_strogatz`] — the testbed topologies of §5.2 ("The network
 //!   topology follows the Watts Strogatz graph", 50 and 100 nodes).
 //! * [`barabasi_albert`] / [`scale_free_with_channels`] — scale-free
-//!   graphs standing in for the crawled Ripple and Lightning topologies
-//!   (see DESIGN.md substitution #2): real PCNs exhibit heavy-tailed
+//!   graphs standing in for the crawled Ripple and Lightning topologies,
+//!   which are not in the repository: real PCNs exhibit heavy-tailed
 //!   degree distributions, which preferential attachment reproduces.
 //! * [`erdos_renyi`] — uniform random graphs for property tests.
 //!

@@ -1,7 +1,7 @@
 //! Topology synthesis with channel-fund assignment.
 //!
-//! See DESIGN.md substitution #2: the crawled Ripple/Lightning
-//! topologies are replaced by scale-free graphs at the paper's exact
+//! The crawled Ripple/Lightning topologies are not in the repository,
+//! so they are replaced by scale-free graphs at the paper's exact
 //! node/channel scale, with skewed fund distributions matching the
 //! published medians.
 
