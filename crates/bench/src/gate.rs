@@ -53,6 +53,12 @@ pub const MAX_REGRESSION: f64 = 0.25;
 /// above which identical latency percentiles are physically suspicious.
 pub const FLAT_LOAD_SPREAD: f64 = 4.0;
 
+/// Minimum ratio of Shortest Path's events/sec at the largest testbed
+/// record to its rate at the smallest, both from one run. SP's router
+/// compute is negligible, so the ratio isolates how the reactor's
+/// per-frame cost grows with the cluster's socket count.
+pub const MIN_REACTOR_SCALE: f64 = 0.5;
+
 /// Which way a metric must not move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Better {
@@ -437,7 +443,10 @@ fn check_churn_shape(records: &[ChurnRecord], report: &mut GateReport) {
 ///   violation fails regardless of how the diff looks.
 /// * **Scale** — the candidate must include at least one ≥200-node
 ///   record: the single-process scale acceptance check must stay in
-///   the committed trajectory.
+///   the committed trajectory. And where the SP records at the
+///   smallest and largest node counts both report events/sec, the
+///   largest must reach [`MIN_REACTOR_SCALE`]× the smallest's rate: a
+///   within-run ratio, so unlike the absolute rate it can hard-fail.
 /// * **Liveness** — a record with `success_ratio == 0` fails: a trace
 ///   that exercises no successes measures nothing.
 pub fn gate_testbed(baseline: &str, candidate: &str) -> Result<GateReport, String> {
@@ -445,7 +454,8 @@ pub fn gate_testbed(baseline: &str, candidate: &str) -> Result<GateReport, Strin
 }
 
 /// The testbed physical-suspicion checks: per-record wire conservation
-/// and settled escrow, plus the ≥200-node scale record.
+/// and settled escrow, plus the ≥200-node scale record and the SP
+/// reactor scale ratio.
 fn check_testbed_shape(records: &[TestbedRecord], report: &mut GateReport) {
     for r in records {
         if r.wire_in != r.wire_out {
@@ -475,6 +485,23 @@ fn check_testbed_shape(records: &[TestbedRecord], report: &mut GateReport) {
              acceptance check is gone from the trajectory"
                 .into(),
         );
+    }
+    let sp = || records.iter().filter(|r| r.scheme == "SP");
+    if let (Some(small), Some(large)) = (sp().min_by_key(|r| r.nodes), sp().max_by_key(|r| r.nodes))
+    {
+        let ratio = large.events_per_sec / small.events_per_sec;
+        if large.nodes > small.nodes
+            && small.events_per_sec > 0.0
+            && large.events_per_sec > 0.0
+            && ratio < MIN_REACTOR_SCALE
+        {
+            report.fail(format!(
+                "physically suspicious: SP @ {} nodes runs at {ratio:.2}× the events/sec of \
+                 SP @ {} nodes (< {MIN_REACTOR_SCALE}×) — an O(sockets) reactor pass, \
+                 not per-frame work, dominates the testbed",
+                large.nodes, small.nodes
+            ));
+        }
     }
 }
 

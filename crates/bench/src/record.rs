@@ -220,8 +220,9 @@ impl Gated for MaxflowRecord {
 
 /// One record of `BENCH_testbed.json`: one (scheme, scale) scenario run
 /// on the event-loop TCP cluster. Wall-derived fields
-/// (`events_per_sec`, `wall_ns`) only ever warn; everything else is
-/// deterministic for a zero-fault scenario.
+/// (`events_per_sec`, `wall_ns`) only warn against the baseline (only
+/// the within-run SP scale ratio of `events_per_sec` can fail);
+/// everything else is deterministic for a zero-fault scenario.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TestbedRecord {
     /// Scheme label (`Flash`, `SP`, …).

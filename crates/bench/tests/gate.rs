@@ -504,3 +504,33 @@ fn testbed_gate_fails_total_mismatch() {
                 && f.message.contains("no candidate record matches"))
     );
 }
+
+/// `scan_reactor_testbed.json`: the smoke trajectory of the reactor
+/// that issued an `accept` on every listener and a `read` on every
+/// inbound socket each pass. Its per-pass cost grew with the socket
+/// count, so SP at 200 nodes ran at 0.39× its 60-node events/sec.
+const SCAN_REACTOR: &str = include_str!("fixtures/scan_reactor_testbed.json");
+
+#[test]
+fn testbed_gate_rejects_the_scan_reactor_fixture() {
+    // Every deterministic field is healthy, so only the within-run
+    // scale ratio can object — even against itself.
+    let report = gate_testbed(SCAN_REACTOR, SCAN_REACTOR).expect("fixture parses");
+    assert!(!report.passed());
+    let fails: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Fail)
+        .collect();
+    assert_eq!(fails.len(), 1, "{fails:#?}");
+    assert!(fails[0].message.contains("O(sockets) reactor pass"));
+}
+
+#[test]
+fn testbed_gate_skips_the_scale_ratio_without_rates() {
+    // Pre-rate artifacts carry no events/sec; the ratio is undefined,
+    // not failing.
+    let unrated = SCAN_REACTOR.replace("\"events_per_sec\":", "\"unused\":");
+    let report = gate_testbed(&unrated, &unrated).expect("parses");
+    assert!(report.passed(), "{:#?}", report.findings);
+}

@@ -151,8 +151,10 @@ impl Cluster {
         })
     }
 
-    /// Overrides the client-side reply timeout (default 10 s). Fault
-    /// tests lower this so dropped messages fail fast.
+    /// Overrides the client-side reply timeout (default 10 s). A
+    /// request whose reply was dropped or swallowed returns as soon as
+    /// the loop is quiescent, so the timeout only bounds kernel
+    /// delivery lag.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }

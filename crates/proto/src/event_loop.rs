@@ -8,6 +8,8 @@
 //!
 //! * one non-blocking [`TcpListener`] per node (bound before any
 //!   traffic flows, so the address book is complete),
+//! * loopback connections opened on first send, whose inbound end is
+//!   accepted on the spot and paired with the outbound end,
 //! * inbound connections feeding a [`FrameDecoder`] each,
 //! * outbound connections with explicit write buffers flushed as the
 //!   kernel accepts bytes,
@@ -15,12 +17,18 @@
 //! * a request table correlating client-injected messages with their
 //!   terminal replies by `trans_id`.
 //!
-//! [`EventLoop::poll_once`] makes one pass — accept, read+dispatch,
-//! flush — and reports how much progress it made. Because everything is
-//! single-threaded, a zero-progress pass over loopback sockets is a
-//! definitive quiescence check: no thread can be mid-send, so no bytes
-//! are in flight that a subsequent pass could reveal (a small grace
-//! window in [`EventLoop::drain`] covers kernel delivery latency).
+//! Because the loop owns both ends of every connection, it keeps exact
+//! byte accounting: each successful write is credited to the paired
+//! inbound end's `in_flight` count and each read debits it.
+//! [`EventLoop::poll_once`] makes one pass — read + dispatch the
+//! connections with bytes in flight, flush — and reports how much
+//! progress it made; idle sockets cost no syscall.
+//! [`EventLoop::quiescent`] is exact: nothing awaits dispatch, every
+//! outbound buffer is flushed and every open inbound end has read all
+//! that was written to it. From there no frame can arrive until the
+//! next request, so [`EventLoop::run_requests`] returns at quiescence
+//! instead of waiting out the timeout of a reply that can never come;
+//! the wall deadline is only a backstop for kernel delivery lag.
 //!
 //! # Threading contract
 //!
@@ -32,29 +40,36 @@
 //!
 //! # Determinism
 //!
-//! Scan order is fixed: listeners, then inbound connections, then
-//! outbound buffers, each in creation order; dispatch is FIFO per
-//! pass. Wall time enters only through [`crate::wall_now`] (lint rule
-//! D1) and is used exclusively for timeouts — never for ordering
-//! decisions.
+//! Scan order is fixed: inbound connections with bytes in flight, then
+//! outbound buffers, each in creation order; inbound ends opened since
+//! the previous pass join the scan ordered by owning node, then connect
+//! order, as a pass over the listeners would accept them. Dispatch is
+//! FIFO per pass. Wall time enters only through [`crate::wall_now`]
+//! (lint rule D1) and is used exclusively for timeouts — never for
+//! ordering decisions.
 
 use crate::fault::FaultPlan;
-use crate::node::{NodeState, Outbox, MSG_TYPES};
+use crate::node::{NodeCounters, NodeState, Outbox, MSG_TYPES};
 use crate::transport::FrameDecoder;
 use crate::wall::WallInstant;
 use crate::wire::Message;
 use pcn_types::{PcnError, Result};
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// An accepted inbound connection, owned by the listening node.
+/// The inbound end of a loopback connection, owned by the listening
+/// node.
 struct InConn {
     /// The node whose listener accepted this connection.
     owner: u32,
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// Index of the paired outbound end in `out_conns`.
+    peer: usize,
+    /// Bytes the outbound end wrote that this end has not read yet.
+    in_flight: u64,
     open: bool,
 }
 
@@ -63,6 +78,8 @@ struct OutConn {
     /// Sending node (its counters track the queue depth).
     from: u32,
     stream: TcpStream,
+    /// Index of the paired inbound end in `in_conns`.
+    peer: usize,
     /// Encoded frames awaiting the kernel.
     buf: Vec<u8>,
     /// How much of `buf` has been written.
@@ -72,12 +89,25 @@ struct OutConn {
     open: bool,
 }
 
+impl OutConn {
+    /// Marks the connection dead and retires its unflushed frames from
+    /// the sender's queue depth: they will never reach the wire.
+    fn close(&mut self, counters: &mut NodeCounters) {
+        self.open = false;
+        counters.queue_depth = counters
+            .queue_depth
+            .saturating_sub(self.frame_ends.len() as u64);
+        self.frame_ends.clear();
+    }
+}
+
 /// What [`EventLoop::shutdown`] found while winding down.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
     /// Frames still queued on outbound buffers after the final drain.
     pub unflushed_frames: u64,
-    /// Bytes of partial frames stuck in inbound decoders.
+    /// Bytes of partial frames stuck in open inbound decoders (a
+    /// poisoned connection counts as a transport error instead).
     pub undecoded_bytes: u64,
     /// Requests begun but never answered (timed out or abandoned).
     pub unanswered_requests: u64,
@@ -95,9 +125,13 @@ impl ShutdownReport {
 /// The single-threaded reactor. See the module docs for the contract.
 pub struct EventLoop {
     nodes: Vec<NodeState>,
+    /// One listener per node, accepted from only when a connection to
+    /// that node is opened.
     listeners: Vec<TcpListener>,
-    addrs: HashMap<u32, SocketAddr>,
     in_conns: Vec<InConn>,
+    /// `in_conns[scanned..]` were opened since the last pass began and
+    /// have not taken their place in the scan order yet.
+    scanned: usize,
     out_conns: Vec<OutConn>,
     /// `(from, to)` → index into `out_conns`.
     out_index: HashMap<(u32, u32), usize>,
@@ -107,6 +141,8 @@ pub struct EventLoop {
     scratch: VecDeque<(u32, Message)>,
     faults: FaultPlan,
     transport_errors: u64,
+    bytes_written: u64,
+    bytes_read: u64,
     shut: bool,
 }
 
@@ -118,26 +154,25 @@ impl EventLoop {
     pub fn new(balances: Vec<HashMap<u32, u64>>, faults: FaultPlan) -> Result<Self> {
         let mut nodes = Vec::with_capacity(balances.len());
         let mut listeners = Vec::with_capacity(balances.len());
-        let mut addrs = HashMap::new();
         for (id, bal) in balances.into_iter().enumerate() {
-            let id = id as u32;
             let listener = TcpListener::bind("127.0.0.1:0")?;
             listener.set_nonblocking(true)?;
-            addrs.insert(id, listener.local_addr()?);
             listeners.push(listener);
-            nodes.push(NodeState::new(id, bal));
+            nodes.push(NodeState::new(id as u32, bal));
         }
         Ok(EventLoop {
             nodes,
             listeners,
-            addrs,
             in_conns: Vec::new(),
+            scanned: 0,
             out_conns: Vec::new(),
             out_index: HashMap::new(),
             pending: HashMap::new(),
             scratch: VecDeque::new(),
             faults,
             transport_errors: 0,
+            bytes_written: 0,
+            bytes_read: 0,
             shut: false,
         })
     }
@@ -153,7 +188,7 @@ impl EventLoop {
     }
 
     /// Telemetry snapshot for every node.
-    pub fn counters(&self) -> Vec<crate::node::NodeCounters> {
+    pub fn counters(&self) -> Vec<NodeCounters> {
         self.nodes.iter().map(|n| n.counters().clone()).collect()
     }
 
@@ -166,6 +201,13 @@ impl EventLoop {
     /// Messages the fault plan dropped so far.
     pub fn dropped(&self) -> u64 {
         self.faults.dropped()
+    }
+
+    /// Bytes written to and read from loopback sockets so far. The two
+    /// are equal at quiescence unless a connection was closed with
+    /// bytes still in flight.
+    pub fn wire_bytes(&self) -> (u64, u64) {
+        (self.bytes_written, self.bytes_read)
     }
 
     // ----- churn ---------------------------------------------------
@@ -209,118 +251,105 @@ impl EventLoop {
         Ok(id)
     }
 
-    /// Pumps the loop until every listed request has a reply or the
-    /// timeout elapses. Requests not in `ids` are serviced too — the
-    /// loop is global — but only the listed ones gate completion.
+    /// Pumps the loop until every listed request has a reply, the loop
+    /// is quiescent (no reply can arrive any more), or the timeout
+    /// elapses. Requests not in `ids` are serviced too — the loop is
+    /// global — but only the listed ones gate completion.
     pub fn run_requests(&mut self, ids: &[u64], timeout: Duration) {
         let wall_deadline = crate::wall_now() + timeout;
-        loop {
-            let done = ids
-                .iter()
-                .all(|id| !matches!(self.pending.get(id), Some(None)));
-            if done {
-                return;
-            }
-            if self.poll_once() == 0 {
-                if crate::wall_now() >= wall_deadline {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
+        self.pump_until(wall_deadline, |ev| {
+            ids.iter()
+                .all(|id| !matches!(ev.pending.get(id), Some(None)))
+                || ev.quiescent()
+        });
     }
 
     /// Removes and returns the reply for a finished request. `None`
-    /// means the request timed out (a late reply arriving after this
-    /// call is dropped on the floor, like the old channel-based
-    /// correlation).
+    /// means the request was never answered (a late reply arriving
+    /// after this call is dropped on the floor, like the old
+    /// channel-based correlation).
     pub fn take_reply(&mut self, trans_id: u64) -> Option<Message> {
         self.pending.remove(&trans_id).flatten()
     }
 
     // ----- the reactor ---------------------------------------------
 
-    /// One pass: accept new connections, read + dispatch every readable
-    /// frame, flush outbound buffers. Returns a progress count (0 ⇒
-    /// the pass observed nothing to do).
+    /// One pass: read + dispatch every connection with bytes in flight,
+    /// then flush outbound buffers. Returns a progress count (0 ⇒ the
+    /// pass observed nothing to do).
     pub fn poll_once(&mut self) -> usize {
-        let mut progress = 0;
-        progress += self.accept_new();
-        progress += self.poll_reads();
-        progress += self.flush_writes();
-        progress
+        self.order_new_inbound();
+        self.poll_reads() + self.flush_writes()
     }
 
-    /// Pumps until quiescent: `grace` consecutive zero-progress passes
-    /// (covering loopback delivery latency) or the wall deadline.
+    /// Whether nothing is in flight: no decoded message awaits
+    /// dispatch, every open outbound buffer is flushed and every open
+    /// inbound connection has read all bytes written to it.
+    pub fn quiescent(&self) -> bool {
+        self.scratch.is_empty()
+            && self
+                .out_conns
+                .iter()
+                .all(|c| !c.open || c.cursor == c.buf.len())
+            && self.in_conns.iter().all(|c| !c.open || c.in_flight == 0)
+    }
+
+    /// Pumps until [`EventLoop::quiescent`] or the wall deadline.
     /// Returns true when quiescence was reached.
     pub fn drain(&mut self, wall_deadline: WallInstant) -> bool {
-        let mut calm = 0;
-        while calm < 3 {
+        self.pump_until(wall_deadline, Self::quiescent)
+    }
+
+    /// Polls until `done` holds (true) or the wall deadline passes
+    /// first (false). A pass without progress means bytes written but
+    /// not yet readable, so the loop backs off briefly.
+    fn pump_until(&mut self, wall_deadline: WallInstant, done: impl Fn(&Self) -> bool) -> bool {
+        while !done(self) {
             if self.poll_once() == 0 {
-                calm += 1;
                 if crate::wall_now() >= wall_deadline {
                     return false;
                 }
                 std::thread::sleep(Duration::from_micros(50));
-            } else {
-                calm = 0;
             }
         }
         true
     }
 
-    fn accept_new(&mut self) -> usize {
-        let mut accepted = 0;
-        for (owner, listener) in self.listeners.iter().enumerate() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err()
-                            || stream.set_nodelay(true).is_err()
-                        {
-                            self.transport_errors += 1;
-                            continue;
-                        }
-                        self.in_conns.push(InConn {
-                            owner: owner as u32,
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            open: true,
-                        });
-                        accepted += 1;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        self.transport_errors += 1;
-                        break;
-                    }
-                }
-            }
+    /// Gives the inbound ends opened since the previous pass their
+    /// place in the scan order: by owning node, then connect order, as
+    /// one pass over the listeners would accept them.
+    fn order_new_inbound(&mut self) {
+        let scanned = self.scanned;
+        self.in_conns[scanned..].sort_by_key(|c| c.owner);
+        for (i, conn) in self.in_conns.iter().enumerate().skip(scanned) {
+            self.out_conns[conn.peer].peer = i;
         }
-        accepted
+        self.scanned = self.in_conns.len();
     }
 
     fn poll_reads(&mut self) -> usize {
         let mut read_buf = [0u8; 4096];
-        // Phase 1: drain every readable socket into its decoder and
-        // collect complete frames. Counting msgs_in happens here, at
-        // the wire boundary.
-        for conn in self.in_conns.iter_mut().filter(|c| c.open) {
-            loop {
+        // Phase 1: read the bytes owed to each connection into its
+        // decoder and collect complete frames. Counting msgs_in happens
+        // here, at the wire boundary.
+        for i in 0..self.in_conns.len() {
+            let conn = &mut self.in_conns[i];
+            if !conn.open || conn.in_flight == 0 {
+                continue;
+            }
+            let mut failed = false;
+            while conn.in_flight > 0 && !failed {
                 match conn.stream.read(&mut read_buf) {
-                    Ok(0) => {
-                        conn.open = false; // clean EOF
-                        break;
+                    Ok(n) if n > 0 => {
+                        conn.in_flight = conn.in_flight.saturating_sub(n as u64);
+                        self.bytes_read += n as u64;
+                        conn.decoder.feed(&read_buf[..n]);
                     }
-                    Ok(n) => conn.decoder.feed(&read_buf[..n]),
+                    // Written but not readable yet: retry next pass.
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
-                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    // EOF or a socket error with bytes still owed.
+                    _ => failed = true,
                 }
             }
             loop {
@@ -331,14 +360,16 @@ impl EventLoop {
                         self.scratch.push_back((conn.owner, msg));
                     }
                     Ok(None) => break,
+                    // A malformed frame poisons the connection.
                     Err(_) => {
-                        // A malformed frame poisons the connection; the
-                        // peer's next send will reconnect.
-                        conn.open = false;
-                        self.transport_errors += 1;
+                        failed = true;
                         break;
                     }
                 }
+            }
+            if failed {
+                self.transport_errors += 1;
+                self.close_pair(i);
             }
         }
         // Phase 2: run the state machines. Handlers may emit new sends,
@@ -349,6 +380,16 @@ impl EventLoop {
             dispatched += 1;
         }
         dispatched
+    }
+
+    /// Closes inbound connection `i` together with its outbound end, so
+    /// the sender's next frame reconnects instead of writing into a
+    /// socket nobody reads.
+    fn close_pair(&mut self, i: usize) {
+        let conn = &mut self.in_conns[i];
+        conn.open = false;
+        let out = &mut self.out_conns[conn.peer];
+        out.close(&mut self.nodes[out.from as usize].counters);
     }
 
     /// Runs one message through its node's state machine and executes
@@ -378,36 +419,13 @@ impl EventLoop {
         }
         let idx = match self.out_index.get(&(from, to)) {
             Some(&i) if self.out_conns[i].open => i,
-            _ => {
-                let Some(&addr) = self.addrs.get(&to) else {
-                    self.transport_errors += 1;
-                    return;
-                };
-                // Loopback connect completes immediately (the listener's
-                // backlog accepts it); switch to non-blocking after.
-                let stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.transport_errors += 1;
-                        return;
-                    }
-                };
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            _ => match self.connect(from, to) {
+                Ok(i) => i,
+                Err(_) => {
                     self.transport_errors += 1;
                     return;
                 }
-                let i = self.out_conns.len();
-                self.out_conns.push(OutConn {
-                    from,
-                    stream,
-                    buf: Vec::new(),
-                    cursor: 0,
-                    frame_ends: VecDeque::new(),
-                    open: true,
-                });
-                self.out_index.insert((from, to), i);
-                i
-            }
+            },
         };
         let counters = &mut self.nodes[from as usize].counters;
         counters.msgs_out[msg.msg_type as usize] += 1;
@@ -418,27 +436,73 @@ impl EventLoop {
         conn.frame_ends.push_back(conn.buf.len());
     }
 
+    /// Opens `from → to` and pairs it with its inbound end, accepted
+    /// from `to`'s listener on the spot: a loopback connect completes
+    /// the handshake before it returns, so the peer end already waits
+    /// in the backlog. Any other connection found there is a stray,
+    /// counted as a transport error and dropped. Returns the index of
+    /// the new outbound connection.
+    fn connect(&mut self, from: u32, to: u32) -> io::Result<usize> {
+        let listener = self
+            .listeners
+            .get(to as usize)
+            .ok_or_else(|| io::Error::new(ErrorKind::NotFound, "no listener for node"))?;
+        let stream = TcpStream::connect(listener.local_addr()?)?;
+        let local = stream.local_addr()?;
+        let wall_deadline = crate::wall_now() + Duration::from_secs(1);
+        let inbound = loop {
+            match listener.accept() {
+                Ok((inbound, peer)) if peer == local => break inbound,
+                Ok(_) => self.transport_errors += 1,
+                Err(e)
+                    if e.kind() == ErrorKind::WouldBlock && crate::wall_now() < wall_deadline =>
+                {
+                    std::thread::yield_now()
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        for s in [&stream, &inbound] {
+            s.set_nonblocking(true)?;
+            s.set_nodelay(true)?;
+        }
+        let (out_idx, in_idx) = (self.out_conns.len(), self.in_conns.len());
+        self.in_conns.push(InConn {
+            owner: to,
+            stream: inbound,
+            decoder: FrameDecoder::new(),
+            peer: out_idx,
+            in_flight: 0,
+            open: true,
+        });
+        self.out_conns.push(OutConn {
+            from,
+            stream,
+            peer: in_idx,
+            buf: Vec::new(),
+            cursor: 0,
+            frame_ends: VecDeque::new(),
+            open: true,
+        });
+        self.out_index.insert((from, to), out_idx);
+        Ok(out_idx)
+    }
+
     fn flush_writes(&mut self) -> usize {
         let mut progressed = 0;
         for conn in self.out_conns.iter_mut().filter(|c| c.open) {
-            while conn.cursor < conn.buf.len() {
+            let mut failed = false;
+            while conn.cursor < conn.buf.len() && !failed {
                 match conn.stream.write(&conn.buf[conn.cursor..]) {
-                    Ok(0) => {
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
-                    }
-                    Ok(n) => {
+                    Ok(n) if n > 0 => {
                         conn.cursor += n;
+                        self.in_conns[conn.peer].in_flight += n as u64;
+                        self.bytes_written += n as u64;
                         progressed += 1;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
-                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    _ => failed = true,
                 }
             }
             // Retire fully written frames from the owner's queue depth.
@@ -455,12 +519,9 @@ impl EventLoop {
                 conn.buf.clear();
                 conn.cursor = 0;
             }
-            if !conn.open {
-                // Frames stuck on a dead socket will never flush.
-                counters.queue_depth = counters
-                    .queue_depth
-                    .saturating_sub(conn.frame_ends.len() as u64);
-                conn.frame_ends.clear();
+            if failed {
+                conn.close(counters);
+                self.transport_errors += 1;
             }
         }
         progressed
@@ -487,6 +548,7 @@ impl EventLoop {
             undecoded_bytes: self
                 .in_conns
                 .iter()
+                .filter(|c| c.open)
                 .map(|c| c.decoder.pending_bytes() as u64)
                 .sum(),
             unanswered_requests: self.pending.values().filter(|v| v.is_none()).count() as u64,
@@ -495,6 +557,7 @@ impl EventLoop {
         // Deterministic FD close: every socket dies here, in order.
         self.out_conns.clear();
         self.in_conns.clear();
+        self.scanned = 0;
         self.out_index.clear();
         self.listeners.clear();
         self.pending.clear();
@@ -625,6 +688,47 @@ mod tests {
             assert_eq!(c.queue_depth, 0);
         }
         assert!(ev.counters().iter().any(|c| c.queue_high_water > 0));
+        assert!(ev.quiescent());
+        assert!(ev.in_conns.iter().all(|c| c.in_flight == 0));
+        let (written, read) = ev.wire_bytes();
+        assert!(written > 0);
+        assert_eq!(written, read, "every byte written was read");
         assert!(ev.shutdown().is_clean());
+    }
+
+    #[test]
+    fn unanswerable_request_returns_at_quiescence() {
+        let mut ev = line3();
+        ev.set_node_down(1, true);
+        let wall_start = crate::wall_now();
+        let id = ev
+            .begin_request(Message::new(5, MsgType::Probe, vec![0, 1, 2]))
+            .unwrap();
+        ev.run_requests(&[id], Duration::from_secs(10));
+        assert!(ev.take_reply(id).is_none(), "a downed relay drops probes");
+        assert!(
+            wall_start.elapsed() < Duration::from_secs(1),
+            "no reply can arrive once quiescent; waiting out the timeout wastes it"
+        );
+        assert!(ev.shutdown().is_clean());
+    }
+
+    #[test]
+    fn poisoned_connection_closes_its_pair_and_reconnects() {
+        let mut ev = line3();
+        request(&mut ev, Message::new(6, MsgType::Probe, vec![0, 1, 2])).unwrap();
+        let poisoned = ev.out_index[&(0, 1)];
+        // A zero-length frame is malformed on the wire.
+        ev.out_conns[poisoned].buf.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(ev.drain(crate::wall_now() + Duration::from_secs(5)));
+        assert_eq!(ev.transport_errors, 1);
+        assert!(!ev.out_conns[poisoned].open, "the sender's end closes too");
+        let got = request(&mut ev, Message::new(7, MsgType::Probe, vec![0, 1, 2])).unwrap();
+        assert_eq!(got.msg_type, MsgType::ProbeAck);
+        assert_ne!(ev.out_index[&(0, 1)], poisoned, "the next send reconnected");
+        assert!(ev.counters().iter().all(|c| c.queue_depth == 0));
+        let report = ev.shutdown();
+        assert_eq!(report.transport_errors, 1);
+        assert_eq!((report.unflushed_frames, report.undecoded_bytes), (0, 0));
     }
 }

@@ -174,7 +174,8 @@ impl ScenarioBuilder {
     /// workload**: before each payment, every not-yet-applied event
     /// whose offset has elapsed is applied; events scheduled past the
     /// last payment fire right after it (mirroring the DES final
-    /// drain).
+    /// drain). Because the offsets are wall time, a faster reactor
+    /// moves which payment index each event lands on.
     pub fn churn(mut self, churn: ChurnSchedule) -> Self {
         self.churn = churn;
         self
@@ -186,8 +187,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the cluster's client-side reply timeout. Fault
-    /// scenarios lower this so dropped probes fail fast.
+    /// Overrides the cluster's client-side reply timeout, a backstop:
+    /// a dropped probe already fails once the event loop is quiescent.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
         self
